@@ -2,12 +2,17 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet static build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke fuzz-smoke bench bench-json bench-diff bench-diff-smoke
+.PHONY: check vet bench-vet static build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke fuzz-smoke bench bench-json bench-diff bench-diff-smoke
 
-check: vet static build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke bench-diff-smoke fuzz-smoke
+check: vet bench-vet static build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke bench-diff-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is a nested module (the benchmark harness), so ./... never
+# compiles it; vet it on its own against this checkout, offline.
+bench-vet:
+	cd bench && GOTOOLCHAIN=local GOWORK=off GOFLAGS=-mod=mod $(GO) vet .
 
 # staticcheck is optional tooling: run it when installed, skip loudly
 # (but successfully) when not, so `make check` works on a bare toolchain.

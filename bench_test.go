@@ -26,6 +26,7 @@ import (
 	"xcql/internal/evalbench"
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
+	"xcql/internal/registry"
 	"xcql/internal/stream"
 	"xcql/internal/tagstruct"
 	"xcql/internal/temporal"
@@ -589,7 +590,7 @@ func BenchmarkIncrementalContinuous(b *testing.B) {
 					b.Fatal(err)
 				}
 				at := base.Add(time.Duration(preload) * time.Second)
-				cq := stream.NewContinuousQuery(q, func(stream.Result) {})
+				cq := registry.NewContinuousQuery(q, func(registry.Result) {})
 				cq.Clock = func() time.Time { return at }
 				if mode == "incremental" {
 					cq.WithIncremental(true)

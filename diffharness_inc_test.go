@@ -1,6 +1,7 @@
 package xcql_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,18 +10,21 @@ import (
 	"xcql"
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
+	"xcql/internal/xq"
 )
 
 // The incremental cell of the differential harness: every generated
-// store/query pair is REPLAYED fragment by fragment through a continuous
-// query — once in full re-evaluation mode (the reference), once with
-// WithIncremental(true) — and the two must agree byte for byte on every
-// per-arrival delta and on the final standing result. The incremental
-// replays run under every plan × parallelism × cache combination; the
-// engine's decomposition differs radically per plan (QaC+ indexes by
-// tsid, CaQ degrades to whole-plan recomputation), so identical output
-// across the grid pins the tentpole claim: incremental evaluation is an
-// execution strategy, not a semantics change.
+// store/query pair is REPLAYED fragment by fragment through the
+// standing-query core — in full re-evaluation mode and with
+// WithIncremental(true) — and both must agree byte for byte, on every
+// per-arrival delta and on the final standing result, with a test-local
+// oracle that shares no code with the core: a plain evaluation per
+// arrival and a set difference against the previous one. The
+// incremental replays run under every plan × parallelism × cache
+// combination; the engine's decomposition differs radically per plan
+// (QaC+ indexes by tsid, CaQ degrades to whole-plan recomputation), so
+// identical output across the grid pins the tentpole claim: incremental
+// evaluation is an execution strategy, not a semantics change.
 
 // replayTrace is the observable output of one fragment-by-fragment
 // replay: the serialized delta of every arrival and the final standing
@@ -34,12 +38,9 @@ func (tr replayTrace) String() string {
 	return strings.Join(tr.deltas, "\n--\n") + "\n==\n" + tr.final
 }
 
-// replayCQ feeds frags one at a time into a fresh store and continuous
-// query compiled under (mode, cfg), with the evaluation clock pinned to
-// the running maximum validTime (fragments never "un-happen"; reordered
-// histories replay with a monotone clock).
-func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
-	src string, mode xcql.Mode, cfg execConfig, incremental bool) replayTrace {
+// replayQuery compiles src under (mode, cfg) against a fresh, empty
+// store for one replay.
+func replayQuery(t *testing.T, ins *genstore.Instance, src string, mode xcql.Mode, cfg execConfig) (*xcql.Store, *xcql.Query) {
 	t.Helper()
 	var st *xcql.Store
 	if ins.Profile.Scan {
@@ -60,6 +61,58 @@ func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 	if cfg.perQuery {
 		q = q.WithParallelism(cfg.parallelism).WithCache(cfg.cacheSize)
 	}
+	return st, q
+}
+
+// replayOracle is the reference every core replay is checked against:
+// per arrival, one plain evaluation and a set difference on item
+// identity against the previous successful evaluation. The clock is the
+// running maximum validTime (fragments never "un-happen"; reordered
+// histories replay with a monotone clock).
+func replayOracle(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
+	src string, mode xcql.Mode, cfg execConfig) replayTrace {
+	t.Helper()
+	st, q := replayQuery(t, ins, src, mode, cfg)
+	var tr replayTrace
+	var at time.Time
+	var last xcql.Sequence
+	for _, f := range frags {
+		if err := st.Add(f); err != nil {
+			t.Fatalf("add filler %d: %v", f.FillerID, err)
+		}
+		if f.ValidTime.After(at) {
+			at = f.ValidTime
+		}
+		seq, err := q.EvalLimits(context.Background(), at, q.Limits)
+		if err != nil {
+			tr.deltas = append(tr.deltas, "!error")
+			continue
+		}
+		prev := make(map[string]bool, len(last))
+		for _, it := range last {
+			prev[xq.ItemKey(it)] = true
+		}
+		var delta xcql.Sequence
+		for _, it := range seq {
+			if k := xq.ItemKey(it); !prev[k] {
+				prev[k] = true
+				delta = append(delta, it)
+			}
+		}
+		tr.deltas = append(tr.deltas, xcql.FormatSequence(delta))
+		last = seq
+	}
+	tr.final = xcql.FormatSequence(last)
+	return tr
+}
+
+// replayCQ feeds frags one at a time into a fresh store and a continuous
+// query (the standing-query core) compiled under (mode, cfg), with the
+// evaluation clock pinned like replayOracle's.
+func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
+	src string, mode xcql.Mode, cfg execConfig, incremental bool) replayTrace {
+	t.Helper()
+	st, q := replayQuery(t, ins, src, mode, cfg)
 	var tr replayTrace
 	var lastItems xcql.Sequence
 	var at time.Time
@@ -94,8 +147,9 @@ func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 }
 
 // TestDiffHarnessIncremental replays 200+ generated store/query pairs
-// (40 under -short) and pins incremental continuous evaluation
-// byte-identical to full re-evaluation across the whole strategy grid.
+// (40 under -short) and pins the core's full and incremental continuous
+// evaluation byte-identical to the oracle across the whole strategy
+// grid.
 func TestDiffHarnessIncremental(t *testing.T) {
 	minPairs := 200
 	if testing.Short() {
@@ -116,9 +170,9 @@ func TestDiffHarnessIncremental(t *testing.T) {
 	t.Logf("verified %d incremental store/query pairs", pairs)
 }
 
-// runIncrementalInstance replays one generated history per query: full
-// re-evaluation across the plan grid as the reference, incremental
-// across plan × parallelism × cache.
+// runIncrementalInstance replays one generated history per query: the
+// oracle as the reference, the core's full re-evaluation across the
+// plan grid, and its incremental mode across plan × parallelism × cache.
 func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 	t.Helper()
 	ins, err := genstore.Generate(p)
@@ -126,21 +180,16 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 		t.Fatalf("%s: generate: %v", p, err)
 	}
 	for _, query := range ins.Queries {
-		var baseline replayTrace
-		haveBaseline := false
+		baseline := replayOracle(t, ins, ins.Fragments, query.Src, harnessModes[0], execConfigs[0])
 		check := func(tr replayTrace, label string) {
 			t.Helper()
-			if !haveBaseline {
-				baseline, haveBaseline = tr, true
-				return
-			}
 			if got, want := tr.String(), baseline.String(); got != want {
-				t.Fatalf("%s/%s: %s diverged from full baseline\nbaseline:\n%s\ngot:\n%s",
+				t.Fatalf("%s/%s: %s diverged from the oracle\noracle:\n%s\ngot:\n%s",
 					p, query.Name, label, harnessTruncate(want), harnessTruncate(got))
 			}
 		}
 		for _, mode := range harnessModes {
-			// full re-evaluation references, sequential and parallel
+			// the core's full re-evaluation, sequential and parallel
 			for _, cfg := range []execConfig{execConfigs[0], execConfigs[2]} {
 				tr := replayCQ(t, ins, ins.Fragments, query.Src, mode, cfg, false)
 				check(tr, fmt.Sprintf("full/%s/%s", mode, cfg.name))
@@ -156,8 +205,9 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 
 // TestIncrementalArrivalOrder is the arrival-order metamorphic suite:
 // the same fragment set replayed in document order, reverse order, and
-// seeded shuffles. Per order, incremental and full replays must agree
-// byte for byte (the differential property). Across orders, the FINAL
+// seeded shuffles. Per order, the incremental replay and the oracle's
+// full re-evaluation must agree byte for byte (the differential
+// property). Across orders, the FINAL
 // standing result must be identical — arrival order never leaks into
 // the standing state — and nothing may appear in a final result that
 // was never emitted as a delta (a lost emission could silently narrow
@@ -194,7 +244,7 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 				finals := make(map[string]string)
 				for _, mode := range []xcql.Mode{xcql.QaCPlus, xcql.QaCPlusPlus} {
 					for name, frags := range orders {
-						full := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], false)
+						full := replayOracle(t, ins, frags, query.Src, mode, execConfigs[0])
 						inc := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], true)
 						if got, want := inc.String(), full.String(); got != want {
 							t.Fatalf("%s/%s/%s order=%s: incremental diverged from full\nfull:\n%s\ninc:\n%s",
@@ -232,7 +282,7 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 // FuzzIncrementalArrival fuzzes the differential property: an arbitrary
 // (seed, permutation, profile-flag) triple generates a history, shuffles
 // its arrival order, and replays it incrementally against the full
-// re-evaluation reference.
+// re-evaluation oracle.
 func FuzzIncrementalArrival(f *testing.F) {
 	f.Add(int64(1), int64(1), uint8(0))
 	f.Add(int64(2), int64(7), uint8(3))
@@ -255,7 +305,7 @@ func FuzzIncrementalArrival(f *testing.F) {
 		// the battery so every query form gets coverage
 		query := ins.Queries[int(uint64(permSeed)%uint64(len(ins.Queries)))]
 		mode := harnessModes[int(uint8(flags>>4))%len(harnessModes)]
-		full := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], false)
+		full := replayOracle(t, ins, frags, query.Src, mode, execConfigs[0])
 		inc := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], true)
 		if got, want := inc.String(), full.String(); got != want {
 			t.Fatalf("%s/%s/%s: incremental diverged from full\nfull:\n%s\ninc:\n%s",

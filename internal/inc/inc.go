@@ -497,12 +497,12 @@ func NewSharedPass() *SharedPass {
 	}
 }
 
-// serial is itemSerial with a cross-engine memo for node items (atomic
+// serial is xq.ItemKey with a cross-engine memo for node items (atomic
 // items serialize trivially and are not worth a map entry).
 func (sp *SharedPass) serial(it xq.Item) string {
 	n, ok := it.(*xmldom.Node)
 	if !ok {
-		return itemSerial(it)
+		return xq.ItemKey(it)
 	}
 	sp.mu.Lock()
 	s, ok := sp.serials[n]
@@ -510,20 +510,11 @@ func (sp *SharedPass) serial(it xq.Item) string {
 	if ok {
 		return s
 	}
-	s = itemSerial(it)
+	s = xq.ItemKey(it)
 	sp.mu.Lock()
 	sp.serials[n] = s
 	sp.mu.Unlock()
 	return s
-}
-
-// serialOf resolves one item's delta serial, through the shared pass's
-// memo when one is active.
-func serialOf(it xq.Item, sp *SharedPass) string {
-	if sp == nil {
-		return itemSerial(it)
-	}
-	return sp.serial(it)
 }
 
 // Hits is the number of unit evaluations served from the memo.
@@ -558,20 +549,16 @@ func (sp *SharedPass) store(key string, seq xq.Sequence, err error) {
 	sp.mu.Unlock()
 }
 
-// Apply ingests one fragment arrival (already added to the store by the
-// caller) at evaluation instant at, recomputes only the dirty units, and
-// returns the delta: the items whose serialized form was absent from the
-// previous result, in result order. A nil fragment is a pure clock
-// advance (re-evaluate projections and newly visible pending arrivals
-// only). An error (e.g. a budget trip in some unit) aborts the arrival
-// atomically: no state changes, and the caller may Reseed.
-func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
-	return e.ApplyShared(f, at, lim, stats, nil)
-}
-
-// ApplyShared is Apply drawing unit evaluations from (and contributing
-// them to) a registry-scoped SharedPass; sp may be nil for unshared
-// evaluation. See SharedPass for the sharing contract.
+// ApplyShared ingests one fragment arrival (already added to the store
+// by the caller) at evaluation instant at, recomputes only the dirty
+// units, and returns the delta: the items whose serialized form was
+// absent from the previous result, in result order. A nil fragment is a
+// pure clock advance (re-evaluate projections and newly visible pending
+// arrivals only). Unit evaluations are drawn from (and contributed to)
+// a registry-scoped SharedPass — a registration alone gets a pass of its
+// own.
+// An error (e.g. a budget trip in some unit) aborts the arrival: the
+// next advance rebuilds from the store.
 func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -584,7 +571,7 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 		// first evaluation, or a clock regression (visibility may shrink
 		// and popped pending arrivals would be lost): rebuild everything
 		rsp.SetDetail("full-recompute")
-		return e.recomputeAll(at, lim, stats, false, sp)
+		return e.recomputeAll(at, lim, stats, sp)
 	}
 	dirty := make(map[unitKey]bool)
 	if at.After(e.lastAt) {
@@ -609,7 +596,7 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 			// decomposing and recompute the whole plan from here on
 			e.fallback()
 			rsp.SetDetail("fallback-full")
-			return e.recomputeAll(at, lim, stats, false, sp)
+			return e.recomputeAll(at, lim, stats, sp)
 		}
 		if f.ValidTime.After(at) {
 			e.pending = append(e.pending, pendingArrival{fid: f.FillerID, tsid: f.TSID, at: f.ValidTime})
@@ -630,39 +617,11 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 	return seq, nil
 }
 
-// Reseed rebuilds all incremental state from the store and re-emits the
-// entire current result — the recovery step after Invalidate: a lost
-// fragment may have orphaned state, so everything is recomputed and
-// everything re-emits (mirroring full mode's reset delta map).
-func (e *Engine) Reseed(at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
-	return e.ReseedShared(at, lim, stats, nil)
-}
-
-// ReseedShared is Reseed drawing unit evaluations from a SharedPass
-// (nil for unshared).
-func (e *Engine) ReseedShared(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.recomputeAll(at, lim, stats, true, sp)
-}
-
 // recomputeAll rebuilds containment and pending state from the store,
 // ensures a unit for everything the store holds, and recomputes every
-// unit. With reseed, the previous-result memory is cleared first so the
-// whole result re-emits as delta.
-func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, reseed bool, sp *SharedPass) (xq.Sequence, error) {
+// unit.
+func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
 	e.rebuildContainment(at)
-	if reseed {
-		e.refcount = make(map[string]int)
-		for _, u := range e.units {
-			u.entries = nil
-			u.count = 0
-		}
-		e.bytes = 0
-		e.itemCount = 0
-		e.countTotal = 0
-		e.emitted = false
-	}
 	for pi, p := range e.pieces {
 		if !p.indexed() {
 			e.ensureUnit(unitKey{pi, -1, -1})
@@ -848,7 +807,7 @@ func (e *Engine) applyDirty(dirty map[unitKey]bool, at time.Time, lim xcql.Limit
 		} else {
 			es := make([]entry, len(seq))
 			for i, it := range seq {
-				es[i] = entry{item: it, serial: serialOf(it, sp)}
+				es[i] = entry{item: it, serial: sp.serial(it)}
 			}
 			fresh[k] = es
 		}
@@ -906,16 +865,12 @@ func (e *Engine) applyDirty(dirty map[unitKey]bool, at time.Time, lim xcql.Limit
 	return delta, nil
 }
 
-// evalUnitShared consults the shared pass (when present) before falling
-// through to a real unit evaluation: a hit returns the memoized result
+// evalUnitShared consults the shared pass before falling through to a
+// real unit evaluation: a hit returns the memoized result
 // of an identical unit already evaluated by another engine in the group
 // this arrival, charging only the shared-hit counter; a miss evaluates
 // and publishes the result for the rest of the group.
 func (e *Engine) evalUnitShared(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
-	if sp == nil {
-		stats.AddHandlerInvocations(1)
-		return e.evalUnit(k, at, lim, stats)
-	}
 	key := e.unitSigKey(k)
 	if seq, err, ok := sp.lookup(key); ok {
 		stats.AddSharedUnitHits(1)
@@ -1077,13 +1032,4 @@ func (e *Engine) Strategy() string {
 		s += ", fallback"
 	}
 	return s
-}
-
-// itemSerial is the delta identity of one result item — the same
-// serialization the continuous query's full mode diffs by.
-func itemSerial(it xq.Item) string {
-	if n, ok := it.(*xmldom.Node); ok {
-		return n.String()
-	}
-	return xq.StringValue(it)
 }

@@ -8,10 +8,13 @@
 // unit evaluations through an inc.SharedPass — the registry is the
 // layer that dedupes PR 6's per-tag/per-filler units *across* queries.
 //
-// Every registration's observable output — its per-arrival delta stream
-// and its standing result — is byte-identical to an independent
-// stream.ContinuousQuery over the same arrivals (the registry-
-// equivalence harness pins this). Sharing changes cost, never results.
+// The registry is the repo's one standing-query core. A
+// ContinuousQuery is a handle on a private registry holding a single
+// registration, so every registration's observable output — its
+// per-arrival delta stream and its standing result — is byte-identical
+// to the same query evaluated alone (the registry-equivalence harness
+// pins both against a plain re-evaluation oracle). Sharing changes
+// cost, never results.
 //
 // Sharing is scoped for soundness: a group key combines the access-path
 // signature with the identity of the stores the plan reads and a
@@ -30,12 +33,16 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"xcql/internal/budget"
 	"xcql/internal/fragment"
 	"xcql/internal/inc"
 	"xcql/internal/obs"
@@ -50,9 +57,10 @@ type Result struct {
 	// At is the evaluation instant (what "now" resolved to).
 	At time.Time
 	// Items is the full result sequence at that instant — full-mode
-	// registrations only, exactly as stream.Result.Items: incremental
-	// deliveries leave it nil (use Registration.ItemsSnapshot) and so
-	// do degraded emissions after a governed failure.
+	// registrations only: incremental deliveries leave it nil, so the
+	// per-arrival cost stays proportional to the delta (use
+	// Registration.ItemsSnapshot), and so do degraded emissions after a
+	// governed failure.
 	Items xq.Sequence
 	// Delta contains the items absent (by serialized form) from the
 	// registration's previous result, in result order. After an
@@ -82,8 +90,7 @@ type Options struct {
 	// re-evaluation per arrival.
 	Incremental bool
 	// Limits bounds each evaluation of this registration. The zero
-	// value falls back to the compiled query's own Limits — the same
-	// fallback stream.ContinuousQuery applies.
+	// value falls back to the compiled query's own Limits.
 	Limits xcql.Limits
 	// OnResult, when set, delivers synchronously on the arrival
 	// goroutine (no backpressure, no drops) — the mode tests and
@@ -127,6 +134,11 @@ type Registry struct {
 	// "fanout" spans for traced arrivals and flags degraded/backpressure
 	// traces. Guarded by mu; nil = off.
 	tracer *obs.FlightRecorder
+
+	// logger, when set (ContinuousQuery.SetLogger), receives one
+	// "continuous evaluation" event per delivery. nil = off: the
+	// disabled path is one atomic load.
+	logger atomic.Pointer[slog.Logger]
 }
 
 // SetFlightRecorder attaches a flight recorder: traced arrivals record
@@ -238,6 +250,11 @@ type Registration struct {
 	dropped    int64
 	evals      int64
 	latency    *obs.Histogram
+	// delta-state memory in serialized bytes (full mode: the seen set;
+	// incremental: the engine's partial-match buffers) and its
+	// high-water mark.
+	bufBytes int64
+	bufHWM   int64
 }
 
 // RegStats is a snapshot of one registration's delivery counters.
@@ -303,20 +320,16 @@ type GroupStats struct {
 // stores, same limits) and starts receiving a Result per subsequent
 // arrival. Registration itself performs no evaluation; the first
 // arrival (or Evaluate call) seeds the standing state and emits it as
-// the first delta — exactly a fresh ContinuousQuery's behaviour.
+// the first delta.
 func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) {
 	if q == nil {
 		return nil, fmt.Errorf("registry: nil query")
-	}
-	lim := opts.Limits
-	if lim == (xcql.Limits{}) {
-		lim = q.Limits
 	}
 	reg := &Registration{
 		r:       r,
 		q:       q,
 		opts:    opts,
-		lim:     lim,
+		lim:     effectiveLimits(q, opts.Limits),
 		seen:    make(map[string]bool),
 		latency: obs.NewHistogram(),
 	}
@@ -334,7 +347,6 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	} else {
 		reg.fullKey = q.Mode.String() + "\x00" + q.Plan.String()
 	}
-	key, pathSig := groupKey(q, lim)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -344,6 +356,28 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	}
 	r.nextID++
 	reg.id = r.nextID
+	r.join(reg)
+	r.regs[reg.id] = reg
+	return reg, nil
+}
+
+// effectiveLimits is the budget one evaluation runs under: the
+// registration's own limits, or the compiled query's when those are
+// zero.
+func effectiveLimits(q *xcql.Query, lim xcql.Limits) xcql.Limits {
+	if lim == (xcql.Limits{}) {
+		return q.Limits
+	}
+	return lim
+}
+
+// join adds reg to the sharing group its plan and limits select,
+// creating the group on first use. An incremental registration whose
+// plan identity already has a live engine in the group adopts it and
+// re-emits that engine's standing result on its first delivery. The
+// caller holds r.mu.
+func (r *Registry) join(reg *Registration) {
+	key, pathSig := groupKey(reg.q, reg.lim)
 	g := r.groups[key]
 	if g == nil {
 		g = &group{
@@ -357,7 +391,9 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		}
 		r.groups[key] = g
 	}
+	reg.mu.Lock()
 	reg.g = g
+	reg.mu.Unlock()
 	g.members[reg.id] = reg
 	for _, sig := range reg.sigs {
 		g.sigRef[sig]++
@@ -374,11 +410,13 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		if share := g.engShares[reg.incKey]; share != nil {
 			// adopt the share's live engine: this member's first
 			// delivery re-emits the standing result (exactly what a
-			// fresh independent query's first evaluation produces), and
-			// from then on it consumes the shared advance.
+			// fresh query's first evaluation produces), and from then on
+			// it consumes the shared advance.
 			reg.eng = share.eng
 			share.refs++
+			reg.mu.Lock()
 			reg.needReseed = true
+			reg.mu.Unlock()
 		} else {
 			g.engShares[reg.incKey] = &engShare{eng: reg.eng, refs: 1}
 		}
@@ -386,8 +424,57 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	if reg.eng != nil {
 		reg.eng.SetFlightRecorder(r.tracer)
 	}
-	r.regs[reg.id] = reg
-	return reg, nil
+}
+
+// leave removes reg from its sharing group, dropping the group with its
+// last member. The caller holds r.mu.
+func (r *Registry) leave(reg *Registration) {
+	g := reg.g
+	delete(g.members, reg.id)
+	for _, sig := range reg.sigs {
+		if g.sigRef[sig]--; g.sigRef[sig] <= 0 {
+			delete(g.sigRef, sig)
+		}
+	}
+	if fs := g.fullShares[reg.fullKey]; fs != nil {
+		delete(fs, reg.id)
+		if len(fs) == 0 {
+			delete(g.fullShares, reg.fullKey)
+		}
+	}
+	if share := g.engShares[reg.incKey]; share != nil {
+		if share.refs--; share.refs <= 0 {
+			delete(g.engShares, reg.incKey)
+		}
+	}
+	if len(g.members) == 0 {
+		delete(r.groups, g.key)
+	}
+}
+
+// relimit moves a live registration under new limits between arrivals:
+// it leaves its sharing group and joins the one the new effective
+// limits select, keeping its delta state. A registration that shared
+// its incremental engine with others takes a fresh engine and re-emits.
+func (r *Registry) relimit(reg *Registration, limits xcql.Limits) {
+	lim := effectiveLimits(reg.q, limits)
+	r.evalMu.Lock()
+	defer r.evalMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, live := r.regs[reg.id]; !live || lim == reg.lim {
+		return
+	}
+	old := reg.g
+	r.leave(reg)
+	if share := old.engShares[reg.incKey]; share != nil && share.eng == reg.eng {
+		reg.eng = inc.New(reg.q)
+		reg.mu.Lock()
+		reg.needReseed = true
+		reg.mu.Unlock()
+	}
+	reg.opts.Limits, reg.lim = limits, lim
+	r.join(reg)
 }
 
 // engShare is one refcounted shared incremental engine: every live
@@ -481,18 +568,49 @@ func (reg *Registration) ClearDegraded() {
 
 // Invalidate marks the registration degraded for the given reason and
 // schedules a reseed: the next arrival re-emits the whole standing
-// result, and every result carries the reason until ClearDegraded — the
-// contract a ContinuousQuery applies to client gaps.
+// result, and every result carries the reason until ClearDegraded.
+// Client gaps, governed failures and backpressure drops all funnel
+// into this.
 func (reg *Registration) Invalidate(reason string) {
 	reg.mu.Lock()
-	reg.invalidateLocked(reason)
+	reg.degraded = reason
+	reg.resetLocked()
 	reg.mu.Unlock()
 }
 
-func (reg *Registration) invalidateLocked(reason string) {
-	reg.degraded = reason
+// resetLocked is the one reseed rule: forget the delivered result so the
+// next arrival re-emits the whole standing result — full mode diffs
+// against an empty seen set, incremental mode emits its engine's
+// snapshot. The caller holds reg.mu.
+func (reg *Registration) resetLocked() {
 	reg.seen = make(map[string]bool)
+	reg.bufBytes = 0
 	reg.needReseed = true
+}
+
+// BufferBytes is the registration's current delta-state memory in
+// serialized bytes: the previous-result serial set in full mode, the
+// partial-match buffers in incremental mode.
+func (reg *Registration) BufferBytes() int64 {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	return reg.bufBytes
+}
+
+// BufferHWMBytes is the high-water mark of BufferBytes — the memory
+// bound the delta state promises (it tracks the standing result's
+// cardinality, not the total output history).
+func (reg *Registration) BufferHWMBytes() int64 {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	return reg.bufHWM
+}
+
+// noteBuffer records the current delta-state size. The caller holds
+// reg.mu.
+func (reg *Registration) noteBuffer(bytes, hwm int64) {
+	reg.bufBytes = bytes
+	reg.bufHWM = max(reg.bufHWM, hwm, bytes)
 }
 
 // Stats snapshots the registration's counters.
@@ -517,31 +635,7 @@ func (reg *Registration) Close() {
 	r.mu.Lock()
 	if _, live := r.regs[reg.id]; live {
 		delete(r.regs, reg.id)
-		g := reg.g
-		delete(g.members, reg.id)
-		for _, sig := range reg.sigs {
-			if g.sigRef[sig]--; g.sigRef[sig] <= 0 {
-				delete(g.sigRef, sig)
-			}
-		}
-		if reg.fullKey != "" {
-			if fs := g.fullShares[reg.fullKey]; fs != nil {
-				delete(fs, reg.id)
-				if len(fs) == 0 {
-					delete(g.fullShares, reg.fullKey)
-				}
-			}
-		}
-		if reg.incKey != "" {
-			if share := g.engShares[reg.incKey]; share != nil {
-				if share.refs--; share.refs <= 0 {
-					delete(g.engShares, reg.incKey)
-				}
-			}
-		}
-		if len(g.members) == 0 {
-			delete(r.groups, g.key)
-		}
+		r.leave(reg)
 	}
 	r.mu.Unlock()
 
@@ -566,12 +660,17 @@ func (reg *Registration) deliver(res Result) bool {
 		reg.mu.Unlock()
 		return false
 	}
-	reg.evals++
 	if cb := reg.opts.OnResult; cb != nil {
 		reg.mu.Unlock()
 		cb(res)
+		// counted after the callback returns, so a reader that sees the
+		// count also sees everything the callback recorded
+		reg.mu.Lock()
+		reg.evals++
+		reg.mu.Unlock()
 		return true
 	}
+	reg.evals++
 	// the non-blocking send stays under reg.mu: Close marks closed and
 	// closes the channel under the same lock, so a send can never race
 	// the close
@@ -582,8 +681,9 @@ func (reg *Registration) deliver(res Result) bool {
 	default:
 	}
 	reg.dropped++
-	reg.invalidateLocked(fmt.Sprintf(
-		"degraded: backpressure: subscriber queue full, %d results dropped; standing result will re-emit", reg.dropped))
+	reg.degraded = fmt.Sprintf(
+		"degraded: backpressure: subscriber queue full, %d results dropped; standing result will re-emit", reg.dropped)
+	reg.resetLocked()
 	reg.mu.Unlock()
 	reg.r.mu.Lock()
 	reg.r.drops++
@@ -614,8 +714,7 @@ func (r *Registry) Apply(f *fragment.Fragment) {
 }
 
 // Evaluate runs one fragment-less evaluation (e.g. after preloading a
-// store, or on a clock advance): every registration sees it, exactly as
-// ContinuousQuery.Evaluate.
+// store, or on a clock advance): every registration sees it.
 func (r *Registry) Evaluate() { r.Apply(nil) }
 
 // applyGroup evaluates one sharing group for one arrival: a fresh
@@ -646,16 +745,25 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	}
 
 	pass := inc.NewSharedPass()
-	fullResults := make(map[string]fullEval)
+	fullResults := make(map[string]*fullEval)
 	incResults := make(map[string]*incAdvance)
 	groupStats := obs.EvalStats{Plan: "group"}
 	var delivered int64
 	for _, reg := range members {
+		memberStart := time.Now()
+		fsp := rec.Start(ptc, "fanout").SetReg(reg.id)
+		var res Result
+		var items int
 		if reg.eng != nil {
-			r.applyIncremental(reg, f, at, pass, incResults, &groupStats, &delivered, rec, ptc, tid)
+			res, items = r.advanceIncremental(reg, f, at, pass, incResults, &groupStats, fsp)
 		} else {
-			r.applyFull(reg, g, at, fullResults, &groupStats, &delivered, rec, ptc, tid)
+			res, items = advanceFull(reg, at, fullResults, &groupStats, fsp)
 		}
+		res.TraceID = tid
+		if r.emit(reg, res, items, memberStart, rec, fsp) {
+			delivered++
+		}
+		fsp.End()
 	}
 	elapsed := time.Since(start)
 	g.latency.ObserveExemplar(elapsed, tid)
@@ -703,30 +811,26 @@ type incAdvance struct {
 	consumers int
 }
 
-// applyIncremental advances one incremental registration. Members
+// advanceIncremental advances one incremental registration. Members
 // sharing an engine (identical plan identity) advance it once per
 // arrival — the first member pays, the rest consume the delta; unit
 // evaluations inside the advance are further deduped across DIFFERENT
 // plans through the group's shared pass. A member flagged needReseed
 // re-emits the whole standing result (serial-deduped snapshot) instead
-// of the incremental delta — byte-identical to what an independent
-// query's Reseed emits, without disturbing the share.
-func (r *Registry) applyIncremental(reg *Registration, f *fragment.Fragment, at time.Time,
-	pass *inc.SharedPass, incResults map[string]*incAdvance, groupStats *obs.EvalStats, delivered *int64,
-	rec *obs.FlightRecorder, ptc obs.TraceContext, tid uint64) {
-	start := time.Now()
-	fsp := rec.Start(ptc, "fanout").SetReg(reg.id)
-	defer fsp.End()
+// of the incremental delta, without disturbing the share. It returns the
+// member's undelivered result and its standing item count.
+func (r *Registry) advanceIncremental(reg *Registration, f *fragment.Fragment, at time.Time,
+	pass *inc.SharedPass, results map[string]*incAdvance, groupStats *obs.EvalStats, fsp *obs.Span) (Result, int) {
 	reg.mu.Lock()
 	reseed := reg.needReseed
 	reg.needReseed = false
 	reg.mu.Unlock()
-	adv, ok := incResults[reg.incKey]
+	adv, ok := results[reg.incKey]
 	if !ok {
 		stats := &obs.EvalStats{Plan: reg.q.Mode.String() + "+inc"}
 		delta, err := reg.eng.ApplyShared(f, at, reg.lim, stats, pass)
 		adv = &incAdvance{delta: delta, err: err, stats: stats}
-		incResults[reg.incKey] = adv
+		results[reg.incKey] = adv
 		mergeStats(groupStats, stats)
 	}
 	adv.consumers++
@@ -734,66 +838,43 @@ func (r *Registry) applyIncremental(reg *Registration, f *fragment.Fragment, at 
 	// LastStats (an EXPLAIN on any member shows what this arrival cost
 	// the share, not zero)
 	reg.q.RecordStats(adv.stats)
-	if adv.err != nil {
-		if reason, governed := stream.GovernedFailure(adv.err); governed {
-			if reseed {
-				r.mu.Lock()
-				r.reseeds++
-				r.mu.Unlock()
-			}
-			reg.Invalidate(reason)
-			rec.Flag(tid, "governed")
-			fsp.SetDetail("governed")
-			if reg.deliver(Result{At: at, Degraded: reason, TraceID: tid}) {
-				*delivered++
-			} else {
-				rec.Flag(tid, "backpressure")
-			}
-		} else {
-			fsp.SetDetail("error")
-			if reg.deliver(Result{At: at, Err: adv.err, TraceID: tid}) {
-				*delivered++
-			} else {
-				rec.Flag(tid, "backpressure")
-			}
-		}
-		reg.latency.ObserveExemplar(time.Since(start), tid)
-		return
-	}
-	delta := adv.delta
 	if reseed {
 		r.mu.Lock()
 		r.reseeds++
 		r.mu.Unlock()
+	}
+	if adv.err != nil {
+		if reseed {
+			// the re-emission is still owed
+			reg.mu.Lock()
+			reg.needReseed = true
+			reg.mu.Unlock()
+		}
+		return Result{At: at, Err: adv.err}, 0
+	}
+	delta := adv.delta
+	if reseed {
 		delta = snapshotDelta(reg.eng)
 		fsp.SetDetail("reseed")
-	}
-	reg.mu.Lock()
-	degraded := reg.degraded
-	reg.mu.Unlock()
-	if degraded != "" {
-		rec.Flag(tid, "degraded")
-	}
-	if fsp != nil && !reseed {
+	} else if fsp != nil {
 		fsp.SetDetail(fmt.Sprintf("delta=%d", len(delta)))
 	}
-	if reg.deliver(Result{At: at, Delta: delta, Degraded: degraded, TraceID: tid}) {
-		*delivered++
-	} else {
-		rec.Flag(tid, "backpressure")
-	}
-	reg.latency.ObserveExemplar(time.Since(start), tid)
+	bytes, hwm := reg.eng.BufferedBytes(), reg.eng.BufferHWMBytes()
+	reg.mu.Lock()
+	reg.noteBuffer(bytes, hwm)
+	degraded := reg.degraded
+	reg.mu.Unlock()
+	return Result{At: at, Delta: delta, Degraded: degraded}, int(adv.stats.BufferedItems)
 }
 
 // snapshotDelta renders the engine's standing result as a re-emission
-// delta: first occurrence per serialized form, in output order —
-// exactly the delta an independent engine's Reseed produces.
+// delta: first occurrence per serialized form, in output order.
 func snapshotDelta(eng *inc.Engine) xq.Sequence {
 	snap := eng.ItemsSnapshot()
 	seen := make(map[string]bool, len(snap))
 	var delta xq.Sequence
 	for _, it := range snap {
-		key := stream.ItemKey(it)
+		key := xq.ItemKey(it)
 		if seen[key] {
 			continue
 		}
@@ -803,57 +884,40 @@ func snapshotDelta(eng *inc.Engine) xq.Sequence {
 	return delta
 }
 
-// applyFull advances one full-mode registration: the evaluation is
+// advanceFull advances one full-mode registration: the evaluation is
 // computed once per distinct plan identity in the group and diffed
-// against this registration's own previous-result serials — the exact
-// generation-scoped delta a ContinuousQuery maintains.
-func (r *Registry) applyFull(reg *Registration, g *group, at time.Time,
-	results map[string]fullEval, groupStats *obs.EvalStats, delivered *int64,
-	rec *obs.FlightRecorder, ptc obs.TraceContext, tid uint64) {
-	start := time.Now()
-	fsp := rec.Start(ptc, "fanout").SetReg(reg.id)
-	defer fsp.End()
+// against this registration's own previous-result serials. The delta
+// state is generation-scoped — this evaluation's serials replace the
+// previous ones wholesale — so its memory is bounded by the standing
+// result, not the output history. It returns the member's undelivered
+// result and its standing item count.
+func advanceFull(reg *Registration, at time.Time, results map[string]*fullEval,
+	groupStats *obs.EvalStats, fsp *obs.Span) (Result, int) {
 	fe, ok := results[reg.fullKey]
 	if !ok {
 		// the group's first member with this plan identity pays for the
 		// evaluation; the rest of the share reuses the sequence below
 		seq, err := reg.q.EvalLimits(context.Background(), at, reg.lim)
-		fe = fullEval{seq: seq, err: err}
+		fe = &fullEval{seq: seq, err: err}
+		results[reg.fullKey] = fe
 		stats := reg.q.LastStats()
 		mergeStats(groupStats, &stats)
 	}
 	fe.consumers++
-	results[reg.fullKey] = fe
 	if fe.err != nil {
-		if reason, governed := stream.GovernedFailure(fe.err); governed {
-			reg.Invalidate(reason)
-			rec.Flag(tid, "governed")
-			fsp.SetDetail("governed")
-			if reg.deliver(Result{At: at, Degraded: reason, TraceID: tid}) {
-				*delivered++
-			} else {
-				rec.Flag(tid, "backpressure")
-			}
-		} else {
-			fsp.SetDetail("error")
-			if reg.deliver(Result{At: at, Err: fe.err, TraceID: tid}) {
-				*delivered++
-			} else {
-				rec.Flag(tid, "backpressure")
-			}
-		}
-		reg.latency.ObserveExemplar(time.Since(start), tid)
-		return
+		return Result{At: at, Err: fe.err}, 0
 	}
 	reg.mu.Lock()
 	next := make(map[string]bool, len(fe.seq))
 	var delta xq.Sequence
+	var bytes int64
 	for _, it := range fe.seq {
-		key := stream.ItemKey(it)
+		key := xq.ItemKey(it)
 		if next[key] {
 			continue
 		}
 		next[key] = true
+		bytes += int64(len(key))
 		if !reg.seen[key] {
 			delta = append(delta, it)
 		}
@@ -861,20 +925,68 @@ func (r *Registry) applyFull(reg *Registration, g *group, at time.Time,
 	reg.seen = next
 	reg.lastItems = fe.seq
 	reg.needReseed = false
+	reg.noteBuffer(bytes, bytes)
 	degraded := reg.degraded
 	reg.mu.Unlock()
-	if degraded != "" {
-		rec.Flag(tid, "degraded")
-	}
 	if fsp != nil {
 		fsp.SetDetail(fmt.Sprintf("items=%d delta=%d", len(fe.seq), len(delta)))
 	}
-	if reg.deliver(Result{At: at, Items: fe.seq, Delta: delta, Degraded: degraded, TraceID: tid}) {
-		*delivered++
-	} else {
+	return Result{At: at, Items: fe.seq, Delta: delta, Degraded: degraded}, len(fe.seq)
+}
+
+// emit finishes one member's share of an arrival: a governed failure
+// degrades the registration instead of surfacing as an error, degraded
+// and dropped deliveries flag the trace, and the member's latency and
+// per-evaluation log event are recorded. It reports whether the result
+// was delivered.
+func (r *Registry) emit(reg *Registration, res Result, items int, start time.Time,
+	rec *obs.FlightRecorder, fsp *obs.Span) bool {
+	tid := res.TraceID
+	if res.Err != nil {
+		if reason, governed := governedFailure(res.Err); governed {
+			reg.Invalidate(reason)
+			rec.Flag(tid, "governed")
+			fsp.SetDetail("governed")
+			res = Result{At: res.At, Degraded: reason, TraceID: tid}
+		} else {
+			fsp.SetDetail("error")
+		}
+	} else if res.Degraded != "" {
+		rec.Flag(tid, "degraded")
+	}
+	delivered := reg.deliver(res)
+	if !delivered {
 		rec.Flag(tid, "backpressure")
 	}
-	reg.latency.ObserveExemplar(time.Since(start), tid)
+	elapsed := time.Since(start)
+	reg.latency.ObserveExemplar(elapsed, tid)
+	if l := r.logger.Load(); l != nil {
+		level := slog.LevelDebug
+		if res.Degraded != "" || res.Err != nil {
+			level = slog.LevelWarn
+		}
+		l.LogAttrs(context.Background(), level, "continuous evaluation",
+			slog.String("component", "registry"), slog.Int64("reg", reg.id),
+			slog.String("plan", reg.q.Mode.String()), slog.Int("items", items),
+			slog.Int("delta", len(res.Delta)), slog.Duration("latency", elapsed),
+			slog.String("degraded", res.Degraded))
+	}
+	return delivered
+}
+
+// governedFailure classifies an evaluation error as resource governance
+// (budget trip, deadline, overload rejection) and renders the
+// degradation reason.
+func governedFailure(err error) (string, bool) {
+	var re *budget.ResourceError
+	if errors.As(err, &re) {
+		return "degraded: evaluation aborted: " + re.Error(), true
+	}
+	var oe *xcql.OverloadError
+	if errors.As(err, &oe) {
+		return "degraded: evaluation rejected: " + oe.Error(), true
+	}
+	return "", false
 }
 
 // InvalidateAll degrades every registration (transport gap, durable-

@@ -2,16 +2,12 @@ package stream
 
 import (
 	"errors"
-	"math/rand"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
 	"xcql/internal/segstore"
-	"xcql/internal/xcql"
 )
 
 // the segment store is the production DurableLog
@@ -299,123 +295,6 @@ func TestDurableWriteThroughFailure(t *testing.T) {
 	if st := s.Stats(); st.StorageErrors != 1 {
 		t.Fatalf("healthy re-attach kept failing: %d", st.StorageErrors)
 	}
-}
-
-// TestSnapshotBootstrapBeyondReplayWindow is the acceptance test for the
-// durable bootstrap: a reconnecting client whose gap exceeds the
-// server's replay window used to be forced into an unrecoverable gap
-// (TestResumeWindowSlid); with a durable log attached it must instead
-// bootstrap the missing prefix from the log, converge to the
-// byte-identical standing query result, and never trip the continuous
-// query's Invalidate.
-func TestSnapshotBootstrapBeyondReplayWindow(t *testing.T) {
-	const events = 26
-	traffic := chaosTraffic(events)
-
-	// baseline: the standing result over a perfect transport
-	baseline := NewClient("sensors", sensorStructure(t))
-	for _, f := range traffic {
-		baseline.Apply(f)
-	}
-	want := evalOver(t, baseline.Store())
-	if len(want) == 0 {
-		t.Fatal("baseline query selected nothing; the comparison would be vacuous")
-	}
-
-	seg := openSegT(t)
-	s := NewServer("sensors", sensorStructure(t))
-	defer s.Close()
-	s.SetHistoryLimit(4)
-	s.AttachDurable(seg)
-	// the 7th frame dies mid-frame, cutting the client off while the
-	// remaining traffic floods past the 4-slot window
-	fi := NewFaultInjector(FaultPlan{Seed: 7, ResetEvery: 7})
-	addr := startFaultyServer(t, s, ServeOptions{Faults: fi})
-
-	for _, f := range traffic[:6] {
-		s.Publish(f)
-	}
-	opts := DialOptions{
-		Reconnect:      true,
-		InitialBackoff: 150 * time.Millisecond,
-		MaxBackoff:     time.Second,
-		Rand:           rand.New(rand.NewSource(7)),
-	}
-	c, err := Dial(addr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// even the fresh join is a bootstrap: the window holds seqs 3..6 but
-	// the durable floor reaches genesis, so the client gets all 6
-	if !waitFor(t, 2*time.Second, func() bool { return c.Store().Len() == 6 }) {
-		t.Fatalf("initial bootstrap incomplete: %d of 6 (stats %+v)", c.Store().Len(), c.Stats())
-	}
-
-	var mu sync.Mutex
-	invalidated := 0
-	rt := xcql.NewRuntime()
-	rt.RegisterStream("sensors", c.Store())
-	cq := NewContinuousQuery(rt.MustCompile(chaosQuery, xcql.QaCPlus), func(r Result) {
-		mu.Lock()
-		if r.Degraded != "" {
-			invalidated++
-		}
-		mu.Unlock()
-	})
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.Attach(c)
-
-	// frame 7 resets the connection mid-frame; the rest of the traffic
-	// slides the window far past the client's position while it backs off
-	for _, f := range traffic[6:] {
-		s.Publish(f)
-	}
-
-	if !waitFor(t, 15*time.Second, func() bool {
-		st := c.Stats()
-		return c.Store().Len() == len(traffic) && st.Missing == 0 && st.ReconnectSnapshot >= 1
-	}) {
-		t.Fatalf("never converged via bootstrap: store %d/%d, stats %+v",
-			c.Store().Len(), len(traffic), c.Stats())
-	}
-
-	st := c.Stats()
-	if st.Lost != 0 {
-		t.Fatalf("bootstrap wrote fragments off as lost: %+v", st)
-	}
-	if st.ReconnectDegraded != 0 {
-		t.Fatalf("reconnect classified degraded despite durable coverage: %+v", st)
-	}
-	if reason, degraded := c.Degraded(); degraded {
-		t.Fatalf("client degraded despite durable coverage: %s", reason)
-	}
-	if st.Gaps != 0 {
-		t.Fatalf("bootstrapped replay produced sequence gaps: %+v (gaps %v)", st, c.Gaps())
-	}
-	mu.Lock()
-	inv := invalidated
-	mu.Unlock()
-	if inv != 0 {
-		t.Fatalf("continuous query was invalidated %d times; bootstrap must not trip Invalidate", inv)
-	}
-
-	// the standing result is byte-identical to the fault-free baseline
-	got := evalOver(t, c.Store())
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("bootstrapped result diverged:\n got %v\nwant %v", got, want)
-	}
-
-	ss := s.Stats()
-	if ss.Bootstraps < 1 {
-		t.Fatalf("server never bridged from the durable log: %+v", ss)
-	}
-	if ss.StorageErrors != 0 {
-		t.Fatalf("durable log reported errors: %+v", ss)
-	}
-	t.Logf("bootstrap converged: client %+v, server bootstraps=%d floor=%d",
-		st, ss.Bootstraps, ss.ResumeFloor)
 }
 
 // TestReconnectOutcomeMetrics exposes the reconnect_outcome family.

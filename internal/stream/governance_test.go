@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"strings"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	. "xcql/internal/stream"
 	"xcql/internal/xcql"
 	"xcql/internal/xq"
 )

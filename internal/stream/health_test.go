@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
-	"xcql/internal/xcql"
 )
 
 // The server's event-time watermark only ever moves forward: publishing
@@ -220,69 +218,6 @@ func TestWatermarkMonotoneUnderFaults(t *testing.T) {
 				t.Errorf("lag did not return to zero after replay: %+v", h)
 			}
 		})
-	}
-}
-
-// The watermark, queue-depth and latency-quantile gauges all surface
-// through the metrics registry — including the headline cq_latency_p99.
-func TestWatermarkAndLatencyMetrics(t *testing.T) {
-	r := obs.NewRegistry()
-	s := NewServer("sensors", sensorStructure(t))
-	defer s.Close()
-	s.RegisterMetrics(r, "server")
-	c := NewClient("sensors", sensorStructure(t))
-	defer c.Close()
-	c.RegisterMetrics(r, "client")
-
-	rt := xcql.NewRuntime()
-	rt.RegisterStream("sensors", c.Store())
-	q := rt.MustCompile(`count(stream("sensors")//event)`, xcql.QaCPlus)
-	cq := NewContinuousQuery(q, nil)
-	clock := ts("2003-06-01T00:00:00")
-	cq.Clock = func() time.Time { return clock }
-	cq.RegisterMetrics(r, "cq")
-	cq.Attach(c)
-
-	sub := s.Subscribe(16, false)
-	defer sub.Cancel()
-	s.Publish(rootFragment())
-	s.Publish(eventFragment(1, "2003-01-02T00:00:00", "42"))
-	for sub.QueueDepth() > 0 {
-		c.Apply(<-sub.C())
-	}
-
-	vals := map[string]int64{}
-	r.Each(func(name string, v int64) { vals[name] = v })
-	for _, name := range []string{
-		"server_watermark_ns", "client_watermark_ns",
-		"cq_latency_p50", "cq_latency_p90", "cq_latency_p99",
-		"client_delivery_p99",
-	} {
-		if _, ok := vals[name]; !ok {
-			t.Errorf("gauge %s not registered", name)
-		}
-	}
-	want := ts("2003-01-02T00:00:00").UnixNano()
-	if vals["server_watermark_ns"] != want || vals["client_watermark_ns"] != want {
-		t.Errorf("watermark gauges = %d / %d, want %d",
-			vals["server_watermark_ns"], vals["client_watermark_ns"], want)
-	}
-	if vals["cq_evals"] != 2 {
-		t.Errorf("cq_evals = %d, want 2", vals["cq_evals"])
-	}
-	if vals["cq_latency_count"] != 2 || vals["cq_latency_p99"] <= 0 {
-		t.Errorf("cq latency histogram not populated: count=%d p99=%d",
-			vals["cq_latency_count"], vals["cq_latency_p99"])
-	}
-	if vals["client_delivery_count"] != 2 {
-		t.Errorf("client_delivery_count = %d, want 2", vals["client_delivery_count"])
-	}
-	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "cq_latency_p99 ") {
-		t.Errorf("exposition missing cq_latency_p99:\n%s", b.String())
 	}
 }
 

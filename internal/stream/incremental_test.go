@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"strings"
@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xcql/internal/fragment"
+	. "xcql/internal/stream"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xcql"
 	"xcql/internal/xmldom"
@@ -111,7 +112,8 @@ func TestIncrementalChaosNeverNarrows(t *testing.T) {
 	})
 	addr := startFaultyServer(t, s, ServeOptions{Faults: fi})
 
-	s.Publish(traffic[0])
+	// the whole traffic, root included, is published after the query
+	// attaches, so every fragment the client applies is evaluated
 	c, err := Dial(addr, testDialOptions(42))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +139,7 @@ func TestIncrementalChaosNeverNarrows(t *testing.T) {
 	cq.WithIncremental(true)
 	cq.Attach(c)
 
-	for _, f := range traffic[1:] {
+	for _, f := range traffic {
 		before := fi.Stats().Frames
 		s.Publish(f)
 		waitFor(t, 50*time.Millisecond, func() bool { return fi.Stats().Frames > before })
@@ -147,6 +149,12 @@ func TestIncrementalChaosNeverNarrows(t *testing.T) {
 		st := c.Stats()
 		return c.Store().Len() == len(traffic) && st.Missing == 0
 	})
+	// the store fills before the arrival's evaluation delivers its
+	// delta: wait until every applied fragment has been evaluated
+	// before comparing
+	if !waitFor(t, 5*time.Second, func() bool { return cq.Evaluations() == c.Stats().Received }) {
+		t.Fatalf("evaluations %d never caught up with %d applied fragments", cq.Evaluations(), c.Stats().Received)
+	}
 	st := c.Stats()
 	t.Logf("converged=%v store=%d/%d stats=%+v injector=%v strategy=%q",
 		converged, c.Store().Len(), len(traffic), st, fi, cq.IncrementalStrategy())

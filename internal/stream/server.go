@@ -148,8 +148,8 @@ func (sub *Subscription) Cancel() {
 // DroppedFillers returns the filler ids this subscription missed because
 // its buffer was full, in publish order (one entry per missed delivery,
 // so a filler id published twice and missed twice appears twice).
-// ContinuousQuery uses this to invalidate results that depended on the
-// lost fillers.
+// A consumer can invalidate the standing results that depended on the
+// lost fillers from it.
 func (sub *Subscription) DroppedFillers() []int {
 	s := sub.server
 	s.mu.Lock()

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,84 +227,6 @@ func TestTCPTransport(t *testing.T) {
 func TestTCPBadAddress(t *testing.T) {
 	if _, err := DialTCP("127.0.0.1:1"); err == nil {
 		t.Fatal("expected connection error")
-	}
-}
-
-func TestContinuousQueryDeltas(t *testing.T) {
-	s := NewServer("sensors", sensorStructure(t))
-	defer s.Close()
-	c := NewClient("sensors", s.Structure())
-	defer c.Close()
-
-	rt := xcql.NewRuntime()
-	rt.RegisterStream("sensors", c.Store())
-	q := rt.MustCompile(`for $e in stream("sensors")//event where $e/value > 40 return $e/value`, xcql.QaCPlus)
-
-	var mu sync.Mutex
-	var results []Result
-	cq := NewContinuousQuery(q, func(r Result) {
-		mu.Lock()
-		results = append(results, r)
-		mu.Unlock()
-	})
-	clock := ts("2003-06-01T00:00:00")
-	cq.Clock = func() time.Time { return clock }
-	cq.Attach(c)
-
-	c.Apply(rootFragment())
-	c.Apply(eventFragment(1, "2003-01-02T00:00:00", "35")) // below threshold
-	c.Apply(eventFragment(2, "2003-01-03T00:00:00", "41"))
-	c.Apply(eventFragment(3, "2003-01-04T00:00:00", "55"))
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(results) != 4 {
-		t.Fatalf("evaluations = %d", len(results))
-	}
-	// nothing new on the first two arrivals
-	if len(results[0].Delta) != 0 || len(results[1].Delta) != 0 {
-		t.Fatalf("early deltas = %v %v", results[0].Delta, results[1].Delta)
-	}
-	if strings.Join(xq.Strings(results[2].Delta), ",") != "41" {
-		t.Fatalf("delta 3 = %v", results[2].Delta)
-	}
-	if strings.Join(xq.Strings(results[3].Delta), ",") != "55" {
-		t.Fatalf("delta 4 = %v", results[3].Delta)
-	}
-	// the full result accumulates
-	if len(results[3].Items) != 2 {
-		t.Fatalf("items = %v", results[3].Items)
-	}
-}
-
-func TestContinuousQueryResetDelta(t *testing.T) {
-	c := NewClient("sensors", sensorStructure(t))
-	rt := xcql.NewRuntime()
-	rt.RegisterStream("sensors", c.Store())
-	q := rt.MustCompile(`stream("sensors")//event/value`, xcql.QaC)
-	var last Result
-	cq := NewContinuousQuery(q, func(r Result) { last = r })
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	c.Apply(rootFragment())
-	c.Apply(eventFragment(1, "2003-01-02T00:00:00", "42"))
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(last.Delta) != 1 {
-		t.Fatalf("first delta = %v", last.Delta)
-	}
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(last.Delta) != 0 {
-		t.Fatal("repeat evaluation should be delta-empty")
-	}
-	cq.ResetDelta()
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(last.Delta) != 1 {
-		t.Fatal("reset should replay deltas")
 	}
 }
 

@@ -20,21 +20,28 @@ func dialTraced(t *testing.T, addr string, rec *obs.FlightRecorder) *Client {
 	return c
 }
 
-func collectFragments(t *testing.T, c *Client, n int) []*fragment.Fragment {
+// collectFragments registers a listener on c and returns a wait that
+// blocks until n fragments have been applied. Call it before publishing:
+// a listener registered afterwards can miss fragments the client already
+// applied.
+func collectFragments(t *testing.T, c *Client) (wait func(n int) []*fragment.Fragment) {
 	t.Helper()
-	var got []*fragment.Fragment
-	deadline := time.After(5 * time.Second)
 	ch := make(chan *fragment.Fragment, 64)
 	c.OnFragment(func(f *fragment.Fragment) { ch <- f })
-	for len(got) < n {
-		select {
-		case f := <-ch:
-			got = append(got, f)
-		case <-deadline:
-			t.Fatalf("timed out with %d/%d fragments", len(got), n)
+	return func(n int) []*fragment.Fragment {
+		t.Helper()
+		var got []*fragment.Fragment
+		deadline := time.After(5 * time.Second)
+		for len(got) < n {
+			select {
+			case f := <-ch:
+				got = append(got, f)
+			case <-deadline:
+				t.Fatalf("timed out with %d/%d fragments", len(got), n)
+			}
 		}
+		return got
 	}
-	return got
 }
 
 // TestTraceInteropNewServerOldClient: a tracing server stamps every
@@ -56,9 +63,10 @@ func TestTraceInteropNewServerOldClient(t *testing.T) {
 	c := dialTraced(t, ln.Addr().String(), nil) // "old" client: tracing unaware
 	defer c.Close()
 
+	wait := collectFragments(t, c)
 	s.Publish(rootFragment())
 	s.Publish(eventFragment(1, "2003-01-01T01:00:00", "11"))
-	got := collectFragments(t, c, 2)
+	got := wait(2)
 	for _, f := range got {
 		if !f.Trace.Valid() {
 			t.Fatalf("fragment seq=%d lost its trace over the wire", f.Seq)
@@ -87,9 +95,10 @@ func TestTraceInteropOldServerNewClient(t *testing.T) {
 	c := dialTraced(t, ln.Addr().String(), rec)
 	defer c.Close()
 
+	wait := collectFragments(t, c)
 	s.Publish(rootFragment())
 	s.Publish(eventFragment(1, "2003-01-01T01:00:00", "11"))
-	got := collectFragments(t, c, 2)
+	got := wait(2)
 	for _, f := range got {
 		if f.Trace.Valid() {
 			t.Fatalf("fragment seq=%d grew a trace out of nowhere: %+v", f.Seq, f.Trace)

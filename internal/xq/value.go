@@ -51,6 +51,17 @@ func IsNode(it Item) bool {
 	return ok
 }
 
+// ItemKey is the identity of one result item: nodes serialize as XML,
+// atomics as their string value. Standing queries diff consecutive
+// results by it, and result formatting renders items with it, so the
+// two can never disagree.
+func ItemKey(it Item) string {
+	if n, ok := it.(*xmldom.Node); ok {
+		return n.String()
+	}
+	return StringValue(it)
+}
+
 // StringValue returns the string value of an item: text content of nodes,
 // lexical form of atomics.
 func StringValue(it Item) string {

@@ -15,10 +15,11 @@ import (
 // the multi-tenant registry with N=2..32 overlapping standing
 // registrations sharing ONE store and one evaluation pass per arrival —
 // and each registration's per-arrival delta trace and final standing
-// result must be byte-identical to an INDEPENDENT ContinuousQuery
-// replaying the same history on its own private store. Sharing (full-
-// mode plan dedup, incremental unit memoization across queries) is an
-// execution strategy, not a semantics change; this suite pins that.
+// result must be byte-identical to the test-local oracle (replayOracle:
+// plain re-evaluation plus a set difference) replaying the same history
+// on its own private store. Sharing (full-mode plan dedup, incremental
+// unit memoization across queries) is an execution strategy, not a
+// semantics change; this suite pins that.
 
 // regSpec is one standing registration in a registry replay.
 type regSpec struct {
@@ -38,7 +39,7 @@ func (s regSpec) String() string {
 // replayRegistry feeds frags one at a time into a single shared store
 // and registry carrying every spec as a live registration, with the
 // clock pinned to the running maximum validTime (the same pinning
-// replayCQ applies). It returns one trace per spec, in spec order.
+// replayOracle applies). It returns one trace per spec, in spec order.
 func replayRegistry(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 	specs []regSpec, cfg execConfig) []replayTrace {
 	t.Helper()
@@ -74,9 +75,9 @@ func replayRegistry(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment
 			Incremental: spec.inc,
 			OnResult: func(res xcql.RegistryResult) {
 				if res.Err != nil {
-					// same marker replayCQ records when EvaluateFragment
-					// returns an error: both sides must fail at exactly
-					// the same arrivals
+					// same marker replayOracle records when an evaluation
+					// fails: both sides must fail at exactly the same
+					// arrivals
 					traces[i].deltas = append(traces[i].deltas, "!error")
 					return
 				}
@@ -138,9 +139,8 @@ func registrySpecs(ins *genstore.Instance, n int) []regSpec {
 
 // TestRegistryEquivalence replays 200+ generated store/query pairs (40
 // under -short) through the registry and pins every registration's
-// delta stream and final standing result byte-identical to independent
-// continuous queries across {CaQ,QaC,QaC+} × {full,incremental} ×
-// {seq,par4}.
+// delta stream and final standing result byte-identical to the oracle
+// across {CaQ,QaC,QaC+} × {full,incremental} × {seq,par4}.
 func TestRegistryEquivalence(t *testing.T) {
 	minPairs := 200
 	if testing.Short() {
@@ -164,18 +164,20 @@ func TestRegistryEquivalence(t *testing.T) {
 			inst++
 			specs := registrySpecs(ins, n)
 			traces := replayRegistry(t, ins, ins.Fragments, specs, cfg)
-			// reference replays are cached per distinct spec: duplicate
-			// registrations must match the same independent baseline
+			// oracle replays are cached per distinct (query, plan): full
+			// and incremental registrations, duplicates included, must
+			// all match the same reference
 			refs := make(map[regSpec]replayTrace)
 			verified := make(map[string]bool)
 			for i, spec := range specs {
-				ref, ok := refs[spec]
+				key := regSpec{src: spec.src, mode: spec.mode}
+				ref, ok := refs[key]
 				if !ok {
-					ref = replayCQ(t, ins, ins.Fragments, spec.src, spec.mode, cfg, spec.inc)
-					refs[spec] = ref
+					ref = replayOracle(t, ins, ins.Fragments, spec.src, spec.mode, cfg)
+					refs[key] = ref
 				}
 				if got, want := traces[i].String(), ref.String(); got != want {
-					t.Fatalf("%s reg[%d] %s under %s diverged from independent ContinuousQuery\nindependent:\n%s\nregistry:\n%s",
+					t.Fatalf("%s reg[%d] %s under %s diverged from the oracle\noracle:\n%s\nregistry:\n%s",
 						p, i, spec, cfg.name, harnessTruncate(want), harnessTruncate(got))
 				}
 				verified[spec.src] = true

@@ -103,10 +103,12 @@ type (
 	Server = stream.Server
 	// Client receives a fragment stream into a local store.
 	Client = stream.Client
-	// ContinuousQuery re-evaluates a query as fragments arrive.
-	ContinuousQuery = stream.ContinuousQuery
-	// Result is one evaluation of a continuous query.
-	Result = stream.Result
+	// ContinuousQuery re-evaluates a query as fragments arrive: a
+	// one-registration handle on the standing-query registry.
+	ContinuousQuery = registry.ContinuousQuery
+	// Result is one evaluation of a continuous query (the same type a
+	// registry registration receives).
+	Result = registry.Result
 	// Gap is a run of sequence numbers a client failed to receive.
 	Gap = stream.Gap
 	// ClientStats is a snapshot of a client's delivery counters.
@@ -551,7 +553,7 @@ func NewCompactor(interval time.Duration, steps ...func() error) *Compactor {
 
 // NewContinuousQuery wraps a compiled query for continuous evaluation.
 func NewContinuousQuery(q *Query, onResult func(Result)) *ContinuousQuery {
-	return stream.NewContinuousQuery(q, onResult)
+	return registry.NewContinuousQuery(q, onResult)
 }
 
 // NewHistogram returns an empty latency histogram.
@@ -575,11 +577,7 @@ func FormatSequence(seq Sequence) string {
 		if i > 0 {
 			b.WriteByte('\n')
 		}
-		if n, ok := it.(*Node); ok {
-			b.WriteString(n.String())
-		} else {
-			b.WriteString(xq.StringValue(it))
-		}
+		b.WriteString(xq.ItemKey(it))
 	}
 	return b.String()
 }
