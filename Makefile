@@ -107,7 +107,7 @@ bench:
 # with bench-diff.
 BENCHOUT ?= BENCH_pr10.json
 bench-json:
-	( $(GO) test -run '^$$' -bench '^(BenchmarkFigure4|BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkContinuous|BenchmarkParallelCache|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchmem -short . ; \
+	( $(GO) test -run '^$$' -bench '^(BenchmarkFigure4|BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkContinuous|BenchmarkParallelCache|BenchmarkRecovery|BenchmarkSnapshotBootstrap|BenchmarkLabelsAfterAdd)$$' -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkTracePropagation$$' -benchmem -short . ) \

@@ -13,6 +13,8 @@ package xcql_test
 //	BenchmarkGetFillers/…     hole resolution: indexed vs scan cost model
 //	BenchmarkReconstruction/… recursive temporalize vs schema-driven (§5.1)
 //	BenchmarkContinuous/…     per-arrival re-evaluation latency
+//	BenchmarkLabelsAfterAdd/… QaC++ label index after one write:
+//	                          rebuilt vs derived
 //
 // Under -short the grid shrinks to the quick scales; the full run uses
 // the paper's sizes (~27 KB / 5.8 MB / 11.8 MB).
@@ -322,6 +324,37 @@ func BenchmarkGranularity(b *testing.B) {
 				if _, err := q.Eval(evalbench.EvalInstant); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkLabelsAfterAdd measures the QaC++ label index's cost per
+// write on the XMark sf=0.02 store: each iteration appends one new
+// version of a stored filler (its latest payload, holes included, at a
+// later valid time) and asks for the label index. full forces the
+// rebuild from the whole log (AdvanceGeneration, the recovery path);
+// incremental derives the index from the previous one.
+func BenchmarkLabelsAfterAdd(b *testing.B) {
+	s, frags, _ := xmark.GenerateFragments(xmark.Config{Scale: 0.02, Seed: 1})
+	for _, mode := range []string{"full", "incremental"} {
+		b.Run(mode, func(b *testing.B) {
+			st := fragment.NewStore(s)
+			if err := st.AddAll(frags); err != nil {
+				b.Fatal(err)
+			}
+			fids := st.Labels().DocOrderFIDs()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vs := st.Versions(fids[i%len(fids)])
+				last := vs[len(vs)-1]
+				mustAdd(b, st, fragment.New(last.FillerID, last.TSID,
+					evalbench.EvalInstant.Add(time.Duration(i)*time.Second), last.Payload.Clone()))
+				if mode == "full" {
+					st.AdvanceGeneration()
+				}
+				st.Labels()
 			}
 		})
 	}

@@ -183,6 +183,7 @@ func (st *Store) Coalesce() int {
 		st.byTSID = byTSID
 	}
 	st.count = len(keptLog)
+	st.epoch++
 	st.gen.Add(1)
 	return removed
 }

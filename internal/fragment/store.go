@@ -31,6 +31,11 @@ type Store struct {
 	byID   map[int][]*Fragment // versions sorted by validTime, then arrival
 	byTSID map[int][]*Fragment // arrival order
 	count  int
+	// epoch advances whenever the log stops being an extension of what
+	// it was (Coalesce rewrites it) or the generation moves without an
+	// Add (AdvanceGeneration): a label index built within one epoch can
+	// be extended by the log's tail, one from an older epoch cannot.
+	epoch uint64
 
 	// gen counts successful Adds. The materialization cache stamps every
 	// entry with the generation read BEFORE the resolving lookup, so any
@@ -47,7 +52,7 @@ type Store struct {
 
 	// labelIdx memoizes the Dewey prefix-label index (the QaC++ access
 	// path). It is stamped with the store generation at build time and
-	// rebuilt on demand when the generation has moved — the same
+	// replaced on demand when the generation has moved — the same
 	// stale-safe invalidation rule the materialization cache uses.
 	labelIdx atomic.Pointer[LabelIndex]
 }
@@ -145,8 +150,14 @@ func (st *Store) SetWAL(wal func(*Fragment) error) {
 // AdvanceGeneration bumps the ingest generation without adding a
 // fragment. Recovery paths call it after rebuilding a store from a
 // durable log so that cache entries memoized against the pre-crash
-// store object can never be served against the recovered contents.
-func (st *Store) AdvanceGeneration() { st.gen.Add(1) }
+// store object can never be served against the recovered contents; the
+// next label index is rebuilt from the whole log.
+func (st *Store) AdvanceGeneration() {
+	st.mu.Lock()
+	st.epoch++
+	st.mu.Unlock()
+	st.gen.Add(1)
+}
 
 // AddAll ingests fragments in order, stopping at the first error.
 func (st *Store) AddAll(fs []*Fragment) error {

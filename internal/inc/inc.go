@@ -489,13 +489,10 @@ type sharedResult struct {
 	err error
 }
 
-// NewSharedPass returns an empty per-arrival memo.
-func NewSharedPass() *SharedPass {
-	return &SharedPass{
-		results: make(map[string]sharedResult),
-		serials: make(map[*xmldom.Node]string),
-	}
-}
+// NewSharedPass returns an empty per-arrival memo; its maps are made on
+// first store, so an arrival that evaluates no unit allocates only the
+// pass.
+func NewSharedPass() *SharedPass { return &SharedPass{} }
 
 // serial is xq.ItemKey with a cross-engine memo for node items (atomic
 // items serialize trivially and are not worth a map entry).
@@ -512,6 +509,9 @@ func (sp *SharedPass) serial(it xq.Item) string {
 	}
 	s = xq.ItemKey(it)
 	sp.mu.Lock()
+	if sp.serials == nil {
+		sp.serials = make(map[*xmldom.Node]string)
+	}
 	sp.serials[n] = s
 	sp.mu.Unlock()
 	return s
@@ -544,6 +544,9 @@ func (sp *SharedPass) lookup(key string) (xq.Sequence, error, bool) {
 
 func (sp *SharedPass) store(key string, seq xq.Sequence, err error) {
 	sp.mu.Lock()
+	if sp.results == nil {
+		sp.results = make(map[string]sharedResult)
+	}
 	sp.results[key] = sharedResult{seq: seq, err: err}
 	sp.misses++
 	sp.mu.Unlock()

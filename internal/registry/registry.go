@@ -32,10 +32,12 @@
 package registry
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -700,14 +702,15 @@ func (r *Registry) Apply(f *fragment.Fragment) {
 	defer r.evalMu.Unlock()
 	r.mu.Lock()
 	at := r.clock()
-	groups := make([]*group, 0, len(r.groups))
+	var buf [4]*group // most registries hold a few groups: no allocation
+	groups := buf[:0]
 	for _, g := range r.groups {
 		groups = append(groups, g)
 	}
 	r.applies++
 	r.mu.Unlock()
 	// deterministic group order keeps runs reproducible
-	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
+	slices.SortFunc(groups, func(a, b *group) int { return strings.Compare(a.key, b.key) })
 	for _, g := range groups {
 		r.applyGroup(g, f, at)
 	}
@@ -724,12 +727,13 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	start := time.Now()
 	r.mu.Lock()
 	rec := r.tracer
-	members := make([]*Registration, 0, len(g.members))
+	var buf [4]*Registration
+	members := buf[:0]
 	for _, reg := range g.members {
 		members = append(members, reg)
 	}
 	r.mu.Unlock()
-	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
+	slices.SortFunc(members, func(a, b *Registration) int { return cmp.Compare(a.id, b.id) })
 
 	// a traced arrival gets one "registry.eval" span per sharing group;
 	// each member's delivery hangs off it as a "fanout" child, so K
@@ -744,7 +748,10 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 		ptc = gsp.Context()
 	}
 
-	pass := inc.NewSharedPass()
+	// the result maps do not escape, so they cost no allocation; the
+	// shared pass does, so only a group with an incremental member makes
+	// one
+	var pass *inc.SharedPass
 	fullResults := make(map[string]*fullEval)
 	incResults := make(map[string]*incAdvance)
 	groupStats := obs.EvalStats{Plan: "group"}
@@ -755,6 +762,9 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 		var res Result
 		var items int
 		if reg.eng != nil {
+			if pass == nil {
+				pass = inc.NewSharedPass()
+			}
 			res, items = r.advanceIncremental(reg, f, at, pass, incResults, &groupStats, fsp)
 		} else {
 			res, items = advanceFull(reg, at, fullResults, &groupStats, fsp)
@@ -768,8 +778,10 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	elapsed := time.Since(start)
 	g.latency.ObserveExemplar(elapsed, tid)
 
-	evals := pass.Misses()
-	saved := pass.Hits()
+	var evals, saved int64
+	if pass != nil {
+		evals, saved = pass.Misses(), pass.Hits()
+	}
 	for _, fe := range fullResults {
 		evals++
 		saved += int64(fe.consumers - 1)

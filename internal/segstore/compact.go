@@ -60,7 +60,7 @@ func (s *Store) Compact() (CompactStats, error) {
 		if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 			return CompactStats{}, fmt.Errorf("segstore: compact input %s has a bad header", si.name)
 		}
-		res := parseFile(data[len(segMagic):], int64(len(segMagic)))
+		res := parseFile(data[len(segMagic):], int64(len(segMagic)), nil)
 		if res.corrupt {
 			return CompactStats{}, fmt.Errorf("segstore: compact input %s corrupt at byte %d: %s",
 				si.name, res.corruptAt, res.corruptMsg)

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"xcql/internal/fragment"
+	"xcql/internal/xmldom"
 )
 
 // On-disk format. A segment or snapshot file is an 8-byte magic followed
@@ -74,8 +75,10 @@ type parseResult struct {
 }
 
 // parseFile scans one segment or snapshot body (bytes past the magic,
-// with base = len(magic) for offset reporting).
-func parseFile(data []byte, base int64) parseResult {
+// with base = len(magic) for offset reporting). Payloads are decoded
+// through pool: a read whose fragments are kept passes one pool for all
+// its files, so the text the versions of a filler repeat is held once.
+func parseFile(data []byte, base int64, pool *xmldom.StringPool) parseResult {
 	res := parseResult{goodSize: base}
 	off := 0
 	for off < len(data) {
@@ -108,7 +111,11 @@ func parseFile(data []byte, base int64) parseResult {
 		xml := payload[8:]
 		rec := frameRec{lsn: lsn, xml: append([]byte(nil), xml...)}
 		if lsn > 0 {
-			frag, err := fragment.Parse(string(xml))
+			doc, err := pool.ParseString(string(xml))
+			var frag *fragment.Fragment
+			if err == nil {
+				frag, err = fragment.FromXML(doc.Root())
+			}
 			if err != nil {
 				res.corrupt = true
 				res.corruptAt = base + int64(off)

@@ -285,7 +285,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 			}
 			continue
 		}
-		info, frames, verr := s.loadSnapshot(name)
+		info, frames, verr := s.loadSnapshot(name, nil)
 		if verr != nil {
 			s.quarantine(name, rep)
 			rep.Degraded = joinReason(rep.Degraded,
@@ -330,7 +330,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 			rep.Degraded = joinReason(rep.Degraded, fmt.Sprintf("segment %s has a foreign header", name))
 			continue
 		}
-		res := parseFile(data[len(segMagic):], int64(len(segMagic)))
+		res := parseFile(data[len(segMagic):], int64(len(segMagic)), nil)
 		switch {
 		case res.corrupt:
 			// salvage the clean prefix into a fresh segment, then set the
@@ -477,7 +477,7 @@ func (s *Store) quarantine(name string, rep *RecoveryReport) {
 // loadSnapshot validates one snapshot file and returns its metadata and
 // frames. Any anomaly at all invalidates it — snapshots are written
 // atomically, so a damaged one was corrupted at rest.
-func (s *Store) loadSnapshot(name string) (*snapInfo, []frameRec, error) {
+func (s *Store) loadSnapshot(name string, pool *xmldom.StringPool) (*snapInfo, []frameRec, error) {
 	data, err := readAll(s.fs, filepath.Join(s.dir, name))
 	if err != nil {
 		return nil, nil, err
@@ -485,7 +485,7 @@ func (s *Store) loadSnapshot(name string) (*snapInfo, []frameRec, error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, nil, errors.New("bad magic")
 	}
-	res := parseFile(data[len(snapMagic):], int64(len(snapMagic)))
+	res := parseFile(data[len(snapMagic):], int64(len(snapMagic)), pool)
 	if res.corrupt {
 		return nil, nil, fmt.Errorf("corrupt at byte %d: %s", res.corruptAt, res.corruptMsg)
 	}
@@ -707,6 +707,7 @@ func (s *Store) repairActiveLocked() {
 // noteRuntimeCorruptionLocked): a read that dropped frames must not
 // leave SeqCoverage promising a gap-free bootstrap.
 func (s *Store) collectLocked() ([]frameRec, error) {
+	pool := new(xmldom.StringPool)
 	var out []frameRec
 	seen := make(map[uint64]bool)
 	add := func(frames []frameRec) {
@@ -719,7 +720,7 @@ func (s *Store) collectLocked() ([]frameRec, error) {
 		}
 	}
 	if s.snap != nil {
-		_, frames, err := s.loadSnapshot(s.snap.name)
+		_, frames, err := s.loadSnapshot(s.snap.name, pool)
 		if err != nil {
 			return nil, fmt.Errorf("segstore: live snapshot unreadable: %w", err)
 		}
@@ -741,7 +742,7 @@ func (s *Store) collectLocked() ([]frameRec, error) {
 			s.noteRuntimeCorruptionLocked()
 			continue
 		}
-		res := parseFile(data[len(segMagic):], int64(len(segMagic)))
+		res := parseFile(data[len(segMagic):], int64(len(segMagic)), pool)
 		if res.corrupt {
 			s.noteRuntimeCorruptionLocked()
 		}
@@ -802,6 +803,7 @@ func (s *Store) ReadSince(afterSeq uint64) ([]*fragment.Fragment, error) {
 func (s *Store) ReadTSID(tsid int) ([]*fragment.Fragment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	pool := new(xmldom.StringPool)
 	var out []frameRec
 	seen := make(map[uint64]bool)
 	add := func(frames []frameRec) {
@@ -814,7 +816,7 @@ func (s *Store) ReadTSID(tsid int) ([]*fragment.Fragment, error) {
 		}
 	}
 	if s.snap != nil {
-		_, frames, err := s.loadSnapshot(s.snap.name)
+		_, frames, err := s.loadSnapshot(s.snap.name, pool)
 		if err != nil {
 			return nil, fmt.Errorf("segstore: live snapshot unreadable: %w", err)
 		}
@@ -837,7 +839,7 @@ func (s *Store) ReadTSID(tsid int) ([]*fragment.Fragment, error) {
 			s.noteRuntimeCorruptionLocked()
 			continue
 		}
-		res := parseFile(data[len(segMagic):], int64(len(segMagic)))
+		res := parseFile(data[len(segMagic):], int64(len(segMagic)), pool)
 		if res.corrupt {
 			s.noteRuntimeCorruptionLocked()
 		}

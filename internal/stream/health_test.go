@@ -172,20 +172,17 @@ func TestWatermarkMonotoneUnderFaults(t *testing.T) {
 			fi := NewFaultInjector(sc.plan)
 			addr := startFaultyServer(t, s, ServeOptions{Faults: fi})
 
-			s.Publish(rootFragment())
-			for i := 1; i <= events; i++ {
-				s.Publish(eventFragment(i, fmt.Sprintf("2003-01-02T%02d:%02d:00", i/60, i%60), "v"))
-			}
-
 			c, err := Dial(addr, testDialOptions(sc.plan.Seed))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
 
+			// the check is registered before anything is published, so it
+			// sees every applied fragment
 			var mu sync.Mutex
 			var prev time.Time
-			violations := 0
+			violations, checks := 0, 0
 			c.OnFragment(func(*fragment.Fragment) {
 				wm := c.Health().WatermarkValidTime
 				mu.Lock()
@@ -193,15 +190,26 @@ func TestWatermarkMonotoneUnderFaults(t *testing.T) {
 					violations++
 				}
 				prev = wm
+				checks++
 				mu.Unlock()
 			})
+			checked := func() int {
+				mu.Lock()
+				defer mu.Unlock()
+				return checks
+			}
+
+			s.Publish(rootFragment())
+			for i := 1; i <= events; i++ {
+				s.Publish(eventFragment(i, fmt.Sprintf("2003-01-02T%02d:%02d:00", i/60, i%60), "v"))
+			}
 
 			waitFor(t, time.Second, func() bool { return c.Store().Len() >= events+1 })
 			s.Close() // eos triggers the final catch-up pass
 			if !waitFor(t, 5*time.Second, func() bool {
-				return c.Store().Len() == events+1 && c.Stats().Missing == 0
+				return c.Store().Len() == events+1 && c.Stats().Missing == 0 && checked() == events+1
 			}) {
-				t.Fatalf("stream did not settle: store=%d stats=%+v", c.Store().Len(), c.Stats())
+				t.Fatalf("stream did not settle: store=%d checks=%d stats=%+v", c.Store().Len(), checked(), c.Stats())
 			}
 
 			mu.Lock()

@@ -17,6 +17,34 @@ func Parse(r io.Reader) (*Node, error) {
 // ParseString parses a document from a string.
 func ParseString(s string) (*Node, error) { return Parse(strings.NewReader(s)) }
 
+// A StringPool keeps one copy of each distinct name and text of the
+// documents parsed through it; attribute values, mostly ids, and text
+// holding entity or character references are not shared. Versions of one stored filler repeat most of their text, so
+// decoding a log of them through one pool keeps each text once. The
+// zero value is ready to use; a nil pool shares nothing. A StringPool is
+// not safe for concurrent use.
+type StringPool struct{ m map[string]string }
+
+// ParseString parses a document from s, taking its names and text from
+// the pool.
+func (p *StringPool) ParseString(s string) (*Node, error) {
+	z := NewStringTokenizer(s)
+	z.pool = p
+	return parseDoc(z)
+}
+
+func (p *StringPool) intern(b []byte) string {
+	if s, ok := p.m[string(b)]; ok {
+		return s
+	}
+	if p.m == nil {
+		p.m = make(map[string]string)
+	}
+	s := string(b)
+	p.m[s] = s
+	return s
+}
+
 // MustParseString parses or panics; for literals in tests.
 func MustParseString(s string) *Node {
 	n, err := ParseString(s)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestParseSimpleDocument(t *testing.T) {
@@ -189,5 +190,39 @@ func TestIndentSerialization(t *testing.T) {
 	mixed := MustParseString(`<p>hello <b>world</b>!</p>`)
 	if got := mixed.Root().IndentString(); !strings.Contains(got, "hello <b>world</b>!") {
 		t.Fatalf("mixed content distorted: %q", got)
+	}
+}
+
+// Documents parsed through one StringPool parse exactly as without it,
+// and a text or name they repeat is one string, not a copy per document.
+func TestStringPoolSharesText(t *testing.T) {
+	const v1 = `<auction id="a1"><note>long repeated annotation</note><price>1</price></auction>`
+	const v2 = `<auction id="a1"><note>long repeated annotation</note><price>2</price></auction>`
+	var pool StringPool
+	var docs []*Node
+	for _, src := range []string{v1, v2} {
+		got, err := pool.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("pooled parse %s, want %s", got, want)
+		}
+		docs = append(docs, got.Root())
+	}
+	note := func(n *Node) *Node { return n.FirstChildElement("note") }
+	if a, b := note(docs[0]).Children[0].Data, note(docs[1]).Children[0].Data; unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Error("repeated text parsed into two strings")
+	}
+	if unsafe.StringData(docs[0].Name) != unsafe.StringData(docs[1].Name) {
+		t.Error("repeated name parsed into two strings")
+	}
+	var none *StringPool
+	if doc, err := none.ParseString(v1); err != nil || doc.Root().String() != docs[0].String() {
+		t.Fatalf("nil pool: %v, %v", doc, err)
 	}
 }

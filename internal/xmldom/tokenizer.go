@@ -45,6 +45,20 @@ type Tokenizer struct {
 	r         *bufio.Reader
 	line, col int
 	err       error
+	// buf collects the bytes of the name, text or attribute value being
+	// read, so its string is allocated once at its exact length: parsed
+	// strings live as long as the stored fragments that hold them.
+	buf []byte
+	// pool, when set, shares names and text across documents.
+	pool *StringPool
+}
+
+// str returns buf as a string: the pool's copy when there is a pool.
+func (z *Tokenizer) str() string {
+	if z.pool == nil {
+		return string(z.buf)
+	}
+	return z.pool.intern(z.buf)
 }
 
 // NewTokenizer wraps r. The reader is buffered internally.
@@ -107,17 +121,16 @@ func (z *Tokenizer) next() (Token, error) {
 	}
 	if b != '<' {
 		// character data up to the next '<'
-		var sb strings.Builder
-		sb.WriteByte(b)
+		z.buf = append(z.buf[:0], b)
 		for {
 			c, err := z.peekByte()
 			if err != nil || c == '<' {
 				break
 			}
 			_, _ = z.readByte()
-			sb.WriteByte(c)
+			z.buf = append(z.buf, c)
 		}
-		text, derr := decodeEntities(sb.String())
+		text, derr := decodeEntities(z.str())
 		if derr != nil {
 			return Token{}, z.syntaxErr("%v", derr)
 		}
@@ -195,7 +208,7 @@ func (z *Tokenizer) readAttr() (Attr, error) {
 	if err != nil || (quote != '"' && quote != '\'') {
 		return Attr{}, z.syntaxErr("attribute %q value must be quoted", name)
 	}
-	var sb strings.Builder
+	z.buf = z.buf[:0]
 	for {
 		c, err := z.readByte()
 		if err != nil {
@@ -204,9 +217,9 @@ func (z *Tokenizer) readAttr() (Attr, error) {
 		if c == quote {
 			break
 		}
-		sb.WriteByte(c)
+		z.buf = append(z.buf, c)
 	}
-	val, derr := decodeEntities(sb.String())
+	val, derr := decodeEntities(string(z.buf))
 	if derr != nil {
 		return Attr{}, z.syntaxErr("attribute %q: %v", name, derr)
 	}
@@ -302,22 +315,22 @@ func (z *Tokenizer) skipSpace() {
 }
 
 func (z *Tokenizer) readName() (string, error) {
-	var sb strings.Builder
+	z.buf = z.buf[:0]
 	for {
 		b, err := z.peekByte()
 		if err != nil {
 			break
 		}
-		if !isNameByte(b, sb.Len() == 0) {
+		if !isNameByte(b, len(z.buf) == 0) {
 			break
 		}
 		_, _ = z.readByte()
-		sb.WriteByte(b)
+		z.buf = append(z.buf, b)
 	}
-	if sb.Len() == 0 {
+	if len(z.buf) == 0 {
 		return "", z.syntaxErr("expected a name")
 	}
-	return sb.String(), nil
+	return z.str(), nil
 }
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }
